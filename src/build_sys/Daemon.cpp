@@ -15,9 +15,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
-#include <cstring>
 
 #include <unistd.h>
 
@@ -224,41 +222,19 @@ std::string sc::daemonSocketPath(const std::string &HostRoot,
 }
 
 BuildDaemon::BuildDaemon(RealFileSystem &FS, DaemonConfig Config)
-    : FS(FS), Config(std::move(Config)) {
+    : FramedService("scbuildd", Config), FS(FS), Config(std::move(Config)) {
   this->Config.Build.ExternalLock = true;
 }
 
 BuildDaemon::~BuildDaemon() {
-  Listener.close();
-  if (!SockPath.empty())
-    ::unlink(SockPath.c_str());
   // Belt and braces for a daemon destroyed without serve() having
   // drained (start() failed, or a test tore it down early): the
   // builder and connection threads must be joined before their
   // captured `this` dies.
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    Draining = true;
-    for (auto &Job : Queue)
-      cancelJob(*Job, 5, "scbuild: error: daemon is shutting down\n");
-    Queue.clear();
-  }
-  Stop.store(true);
-  JobsCV.notify_all();
-  DoneCV.notify_all();
-  if (Builder.joinable())
-    Builder.join();
-  reapConnections(/*JoinAll=*/true);
+  requestStop();
+  stopBuilder("scbuild: error: daemon is shutting down\n");
+  stopAndJoin();
   // Lock (the daemon's lifetime lock) releases in its own destructor.
-}
-
-void BuildDaemon::chat(const char *Fmt, ...) {
-  if (Config.Quiet)
-    return;
-  va_list Ap;
-  va_start(Ap, Fmt);
-  std::vfprintf(stderr, Fmt, Ap);
-  va_end(Ap);
 }
 
 bool BuildDaemon::start(std::string *Err) {
@@ -280,22 +256,15 @@ bool BuildDaemon::start(std::string *Err) {
     return false;
   }
   // Holding the lock proves no live daemon owns this tree, so a
-  // leftover socket file is debris from a dead one: remove it, or
-  // bind() would fail with EADDRINUSE forever.
-  SockPath = daemonSocketPath(FS.root(), Config.Build.OutDir);
-  ::unlink(SockPath.c_str());
-  std::string SockErr;
-  Listener = UnixSocket::listenOn(SockPath, &SockErr);
-  if (!Listener.valid()) {
-    if (Err)
-      *Err = "could not listen on '" + SockPath + "': " + SockErr;
+  // leftover socket file is debris from a dead one.
+  if (!listenOn(daemonSocketPath(FS.root(), Config.Build.OutDir), Err)) {
     Lock = FileLock();
-    SockPath.clear();
     return false;
   }
   Driver = std::make_unique<BuildDriver>(FS, Config.Build);
   chat("scbuildd: pid %ld serving '%s' (socket %s)\n",
-       static_cast<long>(::getpid()), FS.root().c_str(), SockPath.c_str());
+       static_cast<long>(::getpid()), FS.root().c_str(),
+       socketPath().c_str());
   return true;
 }
 
@@ -309,7 +278,7 @@ DaemonServiceStats BuildDaemon::serviceStats() const {
   S.Disconnects = Svc.Disconnects.load();
   S.CancelledOnDrain = Svc.CancelledOnDrain.load();
   S.QueueHighWater = Svc.QueueHighWater.load();
-  S.ActiveConnections = Svc.ActiveConnections.load();
+  S.ActiveConnections = activeConnections();
   {
     std::lock_guard<std::mutex> L(Mu);
     S.QueueDepth = static_cast<uint32_t>(Queue.size());
@@ -333,7 +302,7 @@ void BuildDaemon::publishGauges() {
   }
   M->gauge("daemon.queue_depth").set(Depth);
   M->gauge("daemon.queue_high_water").max(Svc.QueueHighWater.load());
-  M->gauge("daemon.connections_active").set(Svc.ActiveConnections.load());
+  M->gauge("daemon.connections_active").set(activeConnections());
 }
 
 std::string BuildDaemon::metricsText() {
@@ -345,21 +314,6 @@ std::string BuildDaemon::metricsText() {
   // as drained (see the status verb, which follows the same rule).
   publishGauges();
   return MetricsTextExporter::render(*M);
-}
-
-void BuildDaemon::dumpMetricsFile() {
-  if (Config.MetricsOut.empty())
-    return;
-  const std::string Text = metricsText();
-  const std::string Tmp = Config.MetricsOut + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return;
-  const bool Wrote = std::fwrite(Text.data(), 1, Text.size(), F) ==
-                     Text.size();
-  std::fclose(F);
-  if (!Wrote || ::rename(Tmp.c_str(), Config.MetricsOut.c_str()) != 0)
-    ::unlink(Tmp.c_str());
 }
 
 std::string BuildDaemon::statusText() const {
@@ -480,7 +434,6 @@ void BuildDaemon::runJob(const std::shared_ptr<BuildJob> &Job) {
     Job->Done = true;
   }
   DoneCV.notify_all();
-  ActivityTick.fetch_add(1);
 }
 
 void BuildDaemon::builderMain() {
@@ -488,13 +441,13 @@ void BuildDaemon::builderMain() {
     std::shared_ptr<BuildJob> Job;
     {
       std::unique_lock<std::mutex> L(Mu);
-      JobsCV.wait(L, [&] { return !Queue.empty() || Draining || Stop.load(); });
+      JobsCV.wait(L, [&] { return !Queue.empty() || Draining || stopping(); });
       // Once a stop is requested, no *new* build starts — whatever is
       // still queued belongs to the drain, which answers every waiter
       // with a deterministic cancellation frame. (The build we may
       // have just finished was the "in-flight" one the drain lets
       // complete.)
-      if (Draining || Stop.load())
+      if (Draining || stopping())
         return;
       if (Queue.empty())
         continue;
@@ -532,24 +485,36 @@ void BuildDaemon::builderMain() {
 // Connection threads
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+bool sendFrame(UnixSocket &Conn, const DaemonFrame &F) {
+  return Conn.sendFrame(encodeFrame(F), FramedService::FrameDeadlineMs);
+}
+
+/// Sends one `out` or `err` text frame.
+bool sendText(UnixSocket &Conn, const char *Type, const std::string &Text) {
+  DaemonFrame F;
+  F.Type = Type;
+  F.Text = Text;
+  return sendFrame(Conn, F);
+}
+
+/// The common answer: one text frame, then an `exit` frame with \p Code.
+void reply(UnixSocket &Conn, const char *Type, const std::string &Text,
+           int Code) {
+  DaemonFrame X;
+  X.Code = Code;
+  if (sendText(Conn, Type, Text))
+    sendFrame(Conn, X);
+}
+
+} // namespace
+
 bool BuildDaemon::streamWaiter(UnixSocket &Conn, const RenderedOutcome &R,
                                const DaemonFrame &Exit) {
-  const unsigned T = Config.IoTimeoutMs;
-  if (!R.Err.empty()) {
-    DaemonFrame F;
-    F.Type = "err";
-    F.Text = R.Err;
-    if (!Conn.sendFrame(encodeFrame(F), T))
-      return false;
-  }
-  if (!R.Out.empty()) {
-    DaemonFrame F;
-    F.Type = "out";
-    F.Text = R.Out;
-    if (!Conn.sendFrame(encodeFrame(F), T))
-      return false;
-  }
-  return Conn.sendFrame(encodeFrame(Exit), T);
+  return (R.Err.empty() || sendText(Conn, "err", R.Err)) &&
+         (R.Out.empty() || sendText(Conn, "out", R.Out)) &&
+         sendFrame(Conn, Exit);
 }
 
 void BuildDaemon::handleBuildRequest(UnixSocket &Conn,
@@ -562,15 +527,11 @@ void BuildDaemon::handleBuildRequest(UnixSocket &Conn,
     // configuration; silently building with ours would not be the
     // build the user asked for. (A -j mismatch is fine: concurrency
     // never changes outputs.)
-    DaemonFrame E;
-    E.Type = "err";
-    E.Text = "scbuild: error: daemon (pid " + std::to_string(::getpid()) +
-             ") was started with a different compiler configuration; "
-             "restart it with the flags you want, or drop --daemon\n";
-    Conn.sendFrame(encodeFrame(E), Config.IoTimeoutMs);
-    DaemonFrame X;
-    X.Code = 1;
-    Conn.sendFrame(encodeFrame(X), Config.IoTimeoutMs);
+    reply(Conn, "err",
+          "scbuild: error: daemon (pid " + std::to_string(::getpid()) +
+              ") was started with a different compiler configuration; "
+              "restart it with the flags you want, or drop --daemon\n",
+          1);
     return;
   }
 
@@ -580,15 +541,10 @@ void BuildDaemon::handleBuildRequest(UnixSocket &Conn,
   size_t WaiterIdx = 0;
   {
     std::unique_lock<std::mutex> L(Mu);
-    if (Draining || Stop.load()) {
+    if (Draining || stopping()) {
       L.unlock();
-      DaemonFrame E;
-      E.Type = "err";
-      E.Text = "scbuild: error: daemon is shutting down; build not started\n";
-      Conn.sendFrame(encodeFrame(E), Config.IoTimeoutMs);
-      DaemonFrame X;
-      X.Code = 5;
-      Conn.sendFrame(encodeFrame(X), Config.IoTimeoutMs);
+      reply(Conn, "err",
+            "scbuild: error: daemon is shutting down; build not started\n", 5);
       return;
     }
     // Coalescing key: everything that shapes the driver's work. Opt,
@@ -624,7 +580,7 @@ void BuildDaemon::handleBuildRequest(UnixSocket &Conn,
         // per position, floored so a zero-hold daemon still spreads
         // retries out.
         B.RetryAfterMs = (Depth + 1) * std::max(Config.HoldMs, 25u);
-        Conn.sendFrame(encodeFrame(B), Config.IoTimeoutMs);
+        sendFrame(Conn, B);
         return;
       }
       Job = std::make_shared<BuildJob>();
@@ -697,197 +653,84 @@ void BuildDaemon::handleBuildRequest(UnixSocket &Conn,
   }
 }
 
-void BuildDaemon::connectionMain(UnixSocket Conn) {
-  Svc.ActiveConnections.fetch_add(1);
-  publishGauges();
-  // Wait for the client's first byte in slices so a drain is never
-  // held hostage by a silent client; once bytes flow, recvFrame's
-  // total deadline bounds the whole frame (slow-loris hardening).
-  const auto IoDeadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(Config.IoTimeoutMs);
-  bool HaveByte = false;
-  while (!Stop.load() && std::chrono::steady_clock::now() < IoDeadline) {
-    if (Conn.readable(/*TimeoutMs=*/100)) {
-      HaveByte = true;
-      break;
-    }
-  }
-  std::string Payload;
-  if (!HaveByte || !Conn.recvFrame(Payload, Config.IoTimeoutMs)) {
-    Svc.ActiveConnections.fetch_sub(1);
-    return; // Client vanished or stalled; drop the connection.
-  }
+bool BuildDaemon::serveRequest(UnixSocket &Conn, const std::string &Payload) {
   DaemonRequest Req;
   if (!decodeRequest(Payload, Req)) {
-    DaemonFrame E;
-    E.Type = "err";
-    E.Text = "scbuild: error: daemon received a malformed request\n";
-    Conn.sendFrame(encodeFrame(E), Config.IoTimeoutMs);
-    DaemonFrame X;
-    X.Code = 2;
-    Conn.sendFrame(encodeFrame(X), Config.IoTimeoutMs);
-    Svc.ActiveConnections.fetch_sub(1);
-    return;
-  }
-
-  if (Req.Verb == "build") {
+    reply(Conn, "err", "scbuild: error: daemon received a malformed request\n",
+          2);
+  } else if (Req.Verb == "build") {
     handleBuildRequest(Conn, Req);
   } else if (Req.Verb == "status") {
     // Refresh the registry gauges at frame-render time: the queue may
     // have drained (or filled) since the last build published them,
     // and a status snapshot must describe now, not then.
     publishGauges();
-    DaemonFrame F;
-    F.Type = "out";
-    F.Text = statusText();
-    Conn.sendFrame(encodeFrame(F), Config.IoTimeoutMs);
-    DaemonFrame X;
-    Conn.sendFrame(encodeFrame(X), Config.IoTimeoutMs);
+    reply(Conn, "out", statusText(), 0);
   } else if (Req.Verb == "metrics") {
-    DaemonFrame F;
-    F.Type = "out";
-    F.Text = metricsText();
-    Conn.sendFrame(encodeFrame(F), Config.IoTimeoutMs);
-    DaemonFrame X;
-    Conn.sendFrame(encodeFrame(X), Config.IoTimeoutMs);
+    reply(Conn, "out", metricsText(), 0);
   } else if (Req.Verb == "explain") {
     bool OK = false;
     std::string Text = explainQuery(FS, Config.Build.OutDir, Req.Query, &OK);
-    DaemonFrame F;
-    F.Type = OK ? "out" : "err";
-    F.Text = Text;
-    Conn.sendFrame(encodeFrame(F), Config.IoTimeoutMs);
-    DaemonFrame X;
-    X.Code = OK ? 0 : 1;
-    Conn.sendFrame(encodeFrame(X), Config.IoTimeoutMs);
+    reply(Conn, OK ? "out" : "err", Text, OK ? 0 : 1);
   } else if (Req.Verb == "shutdown") {
-    DaemonFrame X;
-    Conn.sendFrame(encodeFrame(X), Config.IoTimeoutMs);
+    sendFrame(Conn, DaemonFrame());
     chat("scbuildd: shutdown requested, draining\n");
-    Stop.store(true);
+    requestStop();
   } else {
-    DaemonFrame E;
-    E.Type = "err";
-    E.Text = "scbuild: error: daemon does not understand verb '" + Req.Verb +
-             "'\n";
-    Conn.sendFrame(encodeFrame(E), Config.IoTimeoutMs);
-    DaemonFrame X;
-    X.Code = 2;
-    Conn.sendFrame(encodeFrame(X), Config.IoTimeoutMs);
+    reply(Conn, "err",
+          "scbuild: error: daemon does not understand verb '" + Req.Verb +
+              "'\n",
+          2);
   }
-  ActivityTick.fetch_add(1);
-  Svc.ActiveConnections.fetch_sub(1);
-  publishGauges();
+  return false; // One request per connection.
 }
 
 //===----------------------------------------------------------------------===//
-// Accept loop + graceful drain
+// Graceful drain
 //===----------------------------------------------------------------------===//
 
-void BuildDaemon::reapConnections(bool JoinAll) {
-  for (auto It = Connections.begin(); It != Connections.end();) {
-    if (JoinAll || It->Finished.load()) {
-      if (It->T.joinable())
-        It->T.join();
-      It = Connections.erase(It);
-    } else {
-      ++It;
-    }
-  }
-}
-
-int BuildDaemon::serve() {
-  using Clock = std::chrono::steady_clock;
-  Builder = std::thread([this] { builderMain(); });
-  auto LastActivity = Clock::now();
-  auto LastMetricsDump = Clock::now();
-  dumpMetricsFile(); // Scrape-file exists from the first slice on.
-  uint64_t LastTick = ActivityTick.load();
-  while (!Stop.load()) {
-    if (!Config.MetricsOut.empty() &&
-        Clock::now() - LastMetricsDump >=
-            std::chrono::milliseconds(Config.MetricsIntervalMs)) {
-      dumpMetricsFile();
-      LastMetricsDump = Clock::now();
-    }
-    // Served requests (possibly on connection threads we never see
-    // complete here) count as activity for the idle clock, as do live
-    // connections and queued work.
-    const uint64_t Tick = ActivityTick.load();
-    bool Busy = Svc.ActiveConnections.load() != 0;
-    if (!Busy) {
-      std::lock_guard<std::mutex> L(Mu);
-      Busy = !Queue.empty();
-    }
-    if (Tick != LastTick || Busy) {
-      LastTick = Tick;
-      LastActivity = Clock::now();
-    }
-    if (Config.IdleTimeoutMs &&
-        Clock::now() - LastActivity >=
-            std::chrono::milliseconds(Config.IdleTimeoutMs)) {
-      chat("scbuildd: idle for %u ms, exiting\n", Config.IdleTimeoutMs);
-      break;
-    }
-    bool TimedOut = false;
-    UnixSocket Conn = Listener.accept(/*TimeoutMs=*/200, &TimedOut);
-    reapConnections(/*JoinAll=*/false);
-    if (!Conn.valid())
-      continue; // Timeout slice (or transient accept error): re-poll.
-    LastActivity = Clock::now();
-    Connections.emplace_back();
-    Connection &C = Connections.back();
-    C.T = std::thread([this, &C](UnixSocket S) {
-      connectionMain(std::move(S));
-      C.Finished.store(true);
-    }, std::move(Conn));
-  }
-
-  // Graceful drain:
-  //  1. Stop accepting — close the listener and remove the socket file
-  //     so new clients fail over to in-process builds instead of
-  //     queueing on a daemon that will never answer.
-  Listener.close();
-  if (!SockPath.empty())
-    ::unlink(SockPath.c_str());
-  //  2. Cancel queued (not yet started) builds deterministically: each
-  //     waiter gets a clean err + exit(5) frame pair, never a dropped
-  //     connection.
+size_t BuildDaemon::stopBuilder(const char *Text) {
+  size_t Cancelled = 0;
   {
     std::lock_guard<std::mutex> L(Mu);
     Draining = true;
-    size_t Cancelled = 0;
     for (auto &Job : Queue) {
       Cancelled += Job->Waiters.size();
-      cancelJob(*Job, 5,
-                "scbuild: error: daemon is shutting down; queued build "
-                "cancelled\n");
+      cancelJob(*Job, 5, Text);
     }
     Queue.clear();
-    if (Cancelled) {
-      Svc.CancelledOnDrain.fetch_add(Cancelled);
-      if (MetricsRegistry *M = Config.Build.Compiler.Metrics)
-        M->counter("daemon.cancelled_on_drain").add(Cancelled);
-      chat("scbuildd: drain cancelled %zu queued request(s)\n", Cancelled);
-    }
   }
   JobsCV.notify_all();
   DoneCV.notify_all();
-  //  3. The in-flight build (if any) runs to completion and fans out;
-  //     the builder then sees Draining with an empty queue and exits.
   if (Builder.joinable())
     Builder.join();
-  //  4. Every connection thread finishes streaming (bounded by
-  //     IoTimeoutMs per frame) and is joined.
-  reapConnections(/*JoinAll=*/true);
-  //  5. Flush the trace sink so the last spans hit disk before the
-  //     lock releases.
+  return Cancelled;
+}
+
+void BuildDaemon::drain() {
+  // Queued (not yet started) builds are cancelled deterministically:
+  // each waiter gets a clean err + exit(5) frame pair, never a dropped
+  // connection. The in-flight build (if any) runs to completion and
+  // fans out; the builder then sees Draining and exits.
+  if (size_t Cancelled = stopBuilder(
+          "scbuild: error: daemon is shutting down; queued build "
+          "cancelled\n")) {
+    Svc.CancelledOnDrain.fetch_add(Cancelled);
+    if (MetricsRegistry *M = Config.Build.Compiler.Metrics)
+      M->counter("daemon.cancelled_on_drain").add(Cancelled);
+    chat("scbuildd: drain cancelled %zu queued request(s)\n", Cancelled);
+  }
+  // Flush the trace sink so the last spans hit disk before the lock
+  // releases.
   if (TraceRecorder *T = Config.Build.Compiler.Trace)
     T->flush();
+}
+
+int BuildDaemon::serve() {
+  Builder = std::thread([this] { builderMain(); });
+  const int Code = run();
+  // The registry ends in the drained state (scbuildd --report-json
+  // reads it after serve returns).
   publishGauges();
-  //  6. One final scrape-file dump so the file reflects the drained
-  //     end state rather than the last periodic slice.
-  dumpMetricsFile();
-  return 0;
+  return Code;
 }

@@ -13,13 +13,13 @@
 /// — a no-op rebuild through the daemon re-scans nothing and re-parses
 /// nothing (BuildStats::InterfaceScans == 0, ObjectsParsed == 0).
 ///
-/// Service model (one accept loop, many clients):
+/// The socket lifecycle — accept loop, connection threads, frame
+/// deadlines, idle clock, metrics file, signal stop, drain order — is
+/// support/FramedService. What is the build daemon's own:
 ///
-///  * Each accepted connection gets its own thread, which reads exactly
-///    one request (under a total read deadline — a half-frame stall
-///    cannot pin the thread) and answers it. `status` / `explain` /
-///    `shutdown` are answered directly; `build` requests go through the
-///    admission queue.
+///  * One request per connection: the handler answers it and closes.
+///    `status` / `metrics` / `explain` / `shutdown` are answered
+///    directly; `build` requests go through the admission queue.
 ///  * Builds are serialized on ONE builder thread against the resident
 ///    driver (each build is internally parallel via Jobs); pending
 ///    requests wait in a bounded FIFO queue.
@@ -38,12 +38,10 @@
 ///    (`err` + `exit` code 4) instead of building stale work.
 ///  * Disconnect resilience: a client that dies mid-build neither
 ///    aborts nor wedges the build — the build completes (its artifacts
-///    and state persist), the failed fan-out is counted, and the
-///    connection thread is reaped.
-///  * Graceful drain: shutdown (verb, signal, or requestStop()) stops
-///    accepting, lets the in-flight build finish and fan out, cancels
-///    queued builds deterministically (`exit` code 5), joins every
-///    thread, flushes the trace sink, and removes the socket.
+///    and state persist) and the failed fan-out is counted.
+///  * Drain hook: the in-flight build finishes and fans out, queued
+///    builds are cancelled deterministically (`exit` code 5), and the
+///    trace sink is flushed.
 ///
 /// Wire protocol (shared with DaemonClient): one request per
 /// connection. Each message is a 4-byte little-endian length followed
@@ -56,11 +54,11 @@
 /// counters — or, under overload, by a single `busy` frame.
 ///
 /// Locking: the daemon acquires the advisory build lock `<OutDir>/.lock`
-/// once at start() with tag "daemon" and holds it until it exits; the
-/// resident driver runs with BuildOptions::ExternalLock. A plain
-/// `scbuild` pointed at the same tree recognizes the daemon-tagged lock
-/// and degrades read-only with a diagnostic naming the daemon instead
-/// of timing out.
+/// once at start() with tag "daemon" — before it binds the socket — and
+/// holds it until it exits; the resident driver runs with
+/// BuildOptions::ExternalLock. A plain `scbuild` pointed at the same
+/// tree recognizes the daemon-tagged lock and degrades read-only with a
+/// diagnostic naming the daemon instead of timing out.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,7 +67,7 @@
 
 #include "build_sys/BuildSystem.h"
 #include "support/FileLock.h"
-#include "support/Socket.h"
+#include "support/FramedService.h"
 
 #include <atomic>
 #include <chrono>
@@ -77,7 +75,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -201,12 +198,12 @@ void renderRunOutcome(RenderedOutcome &R, const ExecResult &Exec);
 std::string daemonSocketPath(const std::string &HostRoot,
                              const std::string &OutDir);
 
-struct DaemonConfig {
+/// IdleTimeoutMs, MetricsOut, MetricsIntervalMs and Quiet come from
+/// ServiceConfig; the metrics file carries the Prometheus text of the
+/// registry (the `metrics` verb's answer).
+struct DaemonConfig : ServiceConfig {
   /// Configuration of the resident driver. ExternalLock is forced on.
   BuildOptions Build;
-
-  /// Exit after this many milliseconds without a request (0 = never).
-  unsigned IdleTimeoutMs = 0;
 
   /// Admission control: build requests arriving while this many are
   /// already pending (queued, not counting the in-flight build) are
@@ -218,12 +215,6 @@ struct DaemonConfig {
   /// 0 = requests wait forever.
   unsigned RequestTimeoutMs = 0;
 
-  /// Total deadline for reading one request frame off an accepted
-  /// connection, and for writing each response frame back. A stalled
-  /// or half-dead client can hold a connection thread at most this
-  /// long per frame.
-  unsigned IoTimeoutMs = 10000;
-
   /// Test/bench hook: sleep this long at the start of every build,
   /// creating a deterministic service-time floor so queues and
   /// coalescing windows actually form on fast machines.
@@ -232,19 +223,6 @@ struct DaemonConfig {
   /// Test hook: invoked on the builder thread immediately before each
   /// build (after HoldMs). Lets tests hold the builder at a barrier.
   std::function<void()> PreBuildHook;
-
-  /// When non-empty: host path that receives the Prometheus text
-  /// rendering of the metrics registry, rewritten atomically
-  /// (temp + rename) from the accept loop every MetricsIntervalMs and
-  /// once more on drain — a scrape-file for collectors that cannot
-  /// speak the socket protocol.
-  std::string MetricsOut;
-
-  /// Period of the --metrics-out dump, in milliseconds.
-  unsigned MetricsIntervalMs = 1000;
-
-  /// Suppress the daemon's own lifecycle chatter on stderr.
-  bool Quiet = false;
 };
 
 /// Point-in-time service counters (also published to the configured
@@ -259,22 +237,19 @@ struct DaemonServiceStats {
   uint64_t CancelledOnDrain = 0; ///< Queued requests cancelled by shutdown.
   uint32_t QueueDepth = 0;       ///< Pending builds right now.
   uint32_t QueueHighWater = 0;   ///< Max pending builds ever observed.
-  uint32_t ActiveConnections = 0;///< Connection threads alive right now.
+  uint32_t ActiveConnections = 0;///< Connections open right now.
 };
 
-/// The resident build service. One accept loop, one connection thread
-/// per client, one builder thread owning the resident BuildDriver (so
-/// two clients never race the driver; builds are internally parallel
-/// via Jobs).
-class BuildDaemon {
+/// The resident build service: a FramedService whose connections each
+/// carry one request, plus one builder thread owning the resident
+/// BuildDriver (so two clients never race the driver; builds are
+/// internally parallel via Jobs).
+class BuildDaemon : public FramedService {
 public:
   /// \p FS must outlive the daemon. The socket binds at
   /// daemonSocketPath(FS.root(), Config.Build.OutDir).
   BuildDaemon(RealFileSystem &FS, DaemonConfig Config);
-  ~BuildDaemon();
-
-  BuildDaemon(const BuildDaemon &) = delete;
-  BuildDaemon &operator=(const BuildDaemon &) = delete;
+  ~BuildDaemon() override;
 
   /// Acquires the build lock (tag "daemon") and binds the socket.
   /// A stale socket file is removed only after the lock is held — the
@@ -288,13 +263,6 @@ public:
   /// joins every thread, and flushes the trace sink. Returns the
   /// process exit code (0 = clean).
   int serve();
-
-  /// Asks serve() to drain and return (signal-safe; callable from any
-  /// thread).
-  void requestStop() { Stop.store(true); }
-
-  /// Host path of the bound socket (valid after start()).
-  const std::string &socketPath() const { return SockPath; }
 
   /// Builds served so far (for tests and `status`).
   uint64_t buildsServed() const { return Svc.BuildsServed.load(); }
@@ -330,8 +298,13 @@ private:
     std::string CancelText;
   };
 
+  bool serveRequest(UnixSocket &Conn, const std::string &Request) override;
+  void drain() override;
+  /// Marks the queue draining, cancels every queued job with exit code
+  /// 5 and \p Text, and joins the builder. Returns the waiters
+  /// cancelled.
+  size_t stopBuilder(const char *Text);
   void builderMain();
-  void connectionMain(UnixSocket Conn);
   void handleBuildRequest(UnixSocket &Conn, const DaemonRequest &Req);
   void runJob(const std::shared_ptr<BuildJob> &Job);
   void cancelJob(BuildJob &Job, int Code, const std::string &Text);
@@ -339,23 +312,16 @@ private:
   /// is gone (counted as a disconnect).
   bool streamWaiter(UnixSocket &Conn, const RenderedOutcome &R,
                     const DaemonFrame &Exit);
-  void reapConnections(bool JoinAll);
   std::string statusText() const;
   /// Prometheus text rendering of the registry, with gauges refreshed
   /// at render time (the same staleness rule statusText follows).
-  std::string metricsText();
-  /// Atomic (temp + rename) rewrite of Config.MetricsOut.
-  void dumpMetricsFile();
+  std::string metricsText() override;
   void publishGauges();
-  void chat(const char *Fmt, ...);
 
   RealFileSystem &FS;
   DaemonConfig Config;
-  std::string SockPath;
   FileLock Lock;
-  UnixSocket Listener;
   std::unique_ptr<BuildDriver> Driver;
-  std::atomic<bool> Stop{false};
 
   /// Queue state. Mu guards Queue, Draining, LastExit, LastStats, and
   /// every BuildJob's fields; JobsCV wakes the builder, DoneCV wakes
@@ -366,18 +332,6 @@ private:
   std::deque<std::shared_ptr<BuildJob>> Queue;
   bool Draining = false;
   std::thread Builder;
-
-  /// Connection threads, reaped opportunistically from the accept
-  /// loop and fully joined on drain.
-  struct Connection {
-    std::thread T;
-    std::atomic<bool> Finished{false};
-  };
-  std::list<Connection> Connections;
-
-  /// Bumped on every served request; the accept loop uses it to reset
-  /// the idle clock (accept alone also counts as activity).
-  std::atomic<uint64_t> ActivityTick{0};
 
   /// Service counters (atomics: bumped from connection threads and the
   /// builder, read by status from yet other threads).
@@ -390,7 +344,6 @@ private:
     std::atomic<uint64_t> Disconnects{0};
     std::atomic<uint64_t> CancelledOnDrain{0};
     std::atomic<uint32_t> QueueHighWater{0};
-    std::atomic<uint32_t> ActiveConnections{0};
   } Svc;
 
   DaemonFrame LastExit; ///< Exit frame of the most recent build (Mu).

@@ -6,60 +6,22 @@
 
 #include "cache_sys/CacheDaemon.h"
 
-#include <chrono>
-#include <cstdarg>
-#include <cstdio>
-
 #include <unistd.h>
 
 using namespace sc;
 
 CacheDaemon::CacheDaemon(VirtualFileSystem &FS, CacheDaemonConfig Config)
-    : FS(FS), Config(std::move(Config)) {}
+    : FramedService("sccached", Config), FS(FS), Config(std::move(Config)) {}
 
-CacheDaemon::~CacheDaemon() {
-  Listener.close();
-  if (!SockPath.empty())
-    ::unlink(SockPath.c_str());
-}
-
-void CacheDaemon::chat(const char *Fmt, ...) {
-  if (Config.Quiet)
-    return;
-  va_list Ap;
-  va_start(Ap, Fmt);
-  std::vfprintf(stderr, Fmt, Ap);
-  va_end(Ap);
-}
+CacheDaemon::~CacheDaemon() { stopAndJoin(); }
 
 bool CacheDaemon::start(std::string *Err) {
-  SockPath = Config.SocketPath;
-  // A leftover socket file from a dead daemon would make bind() fail
-  // with EADDRINUSE forever; a *live* daemon answers a connect. Probe
-  // before unlinking so we never steal a serving daemon's socket.
-  {
-    std::string ProbeErr;
-    UnixSocket Probe = UnixSocket::connectTo(SockPath, &ProbeErr);
-    if (Probe.valid()) {
-      if (Err)
-        *Err = "another sccached is already serving '" + SockPath + "'";
-      SockPath.clear();
-      return false;
-    }
-  }
-  ::unlink(SockPath.c_str());
-  std::string SockErr;
-  Listener = UnixSocket::listenOn(SockPath, &SockErr);
-  if (!Listener.valid()) {
-    if (Err)
-      *Err = "could not listen on '" + SockPath + "': " + SockErr;
-    SockPath.clear();
+  if (!listenOn(Config.SocketPath, Err))
     return false;
-  }
   Store = std::make_unique<CacheStore>(FS, Config.CacheRoot, Config.MaxBytes);
   CacheStats S = Store->stats();
   chat("sccached: pid %ld serving '%s' (%llu entries, %llu bytes%s)\n",
-       static_cast<long>(::getpid()), SockPath.c_str(),
+       static_cast<long>(::getpid()), socketPath().c_str(),
        static_cast<unsigned long long>(S.Entries),
        static_cast<unsigned long long>(S.BytesStored),
        Config.MaxBytes ? (", budget " + std::to_string(Config.MaxBytes)).c_str()
@@ -97,179 +59,104 @@ std::string CacheDaemon::metricsText() {
   return MetricsTextExporter::render(Metrics);
 }
 
-std::string CacheDaemon::metricsJson() {
-  publishMetrics();
-  return Metrics.toJson();
-}
-
-void CacheDaemon::dumpMetricsFile() {
-  if (Config.MetricsOut.empty())
-    return;
-  const std::string Text = metricsText();
-  const std::string Tmp = Config.MetricsOut + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return;
-  const bool Wrote = std::fwrite(Text.data(), 1, Text.size(), F) ==
-                     Text.size();
-  std::fclose(F);
-  if (!Wrote || ::rename(Tmp.c_str(), Config.MetricsOut.c_str()) != 0)
-    ::unlink(Tmp.c_str());
-}
-
-void CacheDaemon::handleConnection(UnixSocket Conn) {
-  std::string Header;
-  for (;;) {
-    UnixSocket::RecvStatus St;
-    if (!Conn.recvFrame(Header, /*TimeoutMs=*/500, &St)) {
-      if (St == UnixSocket::RecvStatus::TimedOut) {
-        // Persistent connections idle between requests; keep waiting
-        // unless the daemon is going down.
-        if (Stop.load())
-          return;
-        continue;
-      }
-      return; // Disconnected or protocol corruption: drop the peer.
-    }
-    ActivityTick.fetch_add(1, std::memory_order_relaxed);
-
-    CacheRequest Req;
-    CacheResponse Resp;
-    if (!decodeCacheRequest(Header, Req)) {
-      Resp.Error = "malformed request";
-      Conn.sendFrame(encodeCacheResponse(Resp));
-      return; // Out of protocol sync; nothing sane can follow.
-    }
-
-    // A put-obj header is always followed by one binary frame; consume
-    // it before validating anything else or the stream desyncs.
-    std::string PutBytes;
-    if (Req.Operation == CacheRequest::Op::Put && Req.Kind == "obj") {
-      if (!Conn.recvFrame(PutBytes, /*TimeoutMs=*/30000, &St))
-        return;
-      ActivityTick.fetch_add(1, std::memory_order_relaxed);
-      if (PutBytes.size() != Req.Size) {
-        Resp.Error = "payload size does not match header";
-        Conn.sendFrame(encodeCacheResponse(Resp));
-        return;
-      }
-    }
-
-    uint64_t Key = 0, Digest = 0;
-    const bool NeedsKey = Req.Operation == CacheRequest::Op::Get ||
-                          Req.Operation == CacheRequest::Op::Put ||
-                          Req.Operation == CacheRequest::Op::Touch;
-    if (NeedsKey &&
-        (!parseHex16(Req.Key, Key) ||
-         (Req.Kind != "obj" && Req.Kind != "act"))) {
-      Resp.Error = "bad key or kind";
-      Conn.sendFrame(encodeCacheResponse(Resp));
-      continue; // Stream is still in sync; the peer may recover.
-    }
-    const CacheStore::Kind Kind = Req.Kind == "obj"
-                                      ? CacheStore::Kind::Object
-                                      : CacheStore::Kind::Action;
-
-    std::string ObjBytes;
-    switch (Req.Operation) {
-    case CacheRequest::Op::Get:
-      Resp.Ok = true;
-      if (Kind == CacheStore::Kind::Object) {
-        Resp.Found = Store->getObject(Key, ObjBytes);
-        Resp.Size = ObjBytes.size();
-      } else {
-        Resp.Found = Store->getAction(Key, Digest);
-        if (Resp.Found)
-          Resp.Digest = hex16(Digest);
-      }
-      break;
-    case CacheRequest::Op::Put:
-      Resp.Ok = true;
-      if (Kind == CacheStore::Kind::Object) {
-        Resp.Stored = Store->putObject(Key, PutBytes);
-      } else {
-        if (!parseHex16(Req.Digest, Digest)) {
-          Resp.Ok = false;
-          Resp.Error = "bad digest";
-        } else {
-          Resp.Stored = Store->putAction(Key, Digest);
-        }
-      }
-      break;
-    case CacheRequest::Op::Touch:
-      Resp.Ok = true;
-      Resp.Found = Store->touch(Kind, Key);
-      break;
-    case CacheRequest::Op::Stats:
-      Resp.Ok = true;
-      Resp.HasStats = true;
-      Resp.Stats = Store->stats();
-      break;
-    case CacheRequest::Op::Metrics:
-      // Both renderings of the same refreshed registry snapshot, so a
-      // scraper's text view and a tool's JSON view cannot disagree.
-      Resp.Ok = true;
-      Resp.MetricsText = metricsText();
-      Resp.MetricsJson = Metrics.toJson();
-      break;
-    case CacheRequest::Op::Shutdown:
-      Resp.Ok = true;
-      Conn.sendFrame(encodeCacheResponse(Resp));
-      chat("sccached: shutdown requested by client\n");
-      requestStop();
-      return;
-    }
-
-    if (!Conn.sendFrame(encodeCacheResponse(Resp)))
-      return;
-    if (Req.Operation == CacheRequest::Op::Get &&
-        Kind == CacheStore::Kind::Object && Resp.Found)
-      if (!Conn.sendFrame(ObjBytes))
-        return;
+bool CacheDaemon::serveRequest(UnixSocket &Conn, const std::string &Header) {
+  auto Send = [&](const std::string &Frame) {
+    return Conn.sendFrame(Frame, FrameDeadlineMs);
+  };
+  CacheRequest Req;
+  CacheResponse Resp;
+  if (!decodeCacheRequest(Header, Req)) {
+    Resp.Error = "malformed request";
+    Send(encodeCacheResponse(Resp));
+    return false; // Out of protocol sync; nothing sane can follow.
   }
+
+  // A put-obj header is always followed by one binary frame; consume
+  // it before validating anything else or the stream desyncs.
+  std::string PutBytes;
+  if (Req.Operation == CacheRequest::Op::Put && Req.Kind == "obj") {
+    if (!Conn.recvFrame(PutBytes, FrameDeadlineMs))
+      return false;
+    if (PutBytes.size() != Req.Size) {
+      Resp.Error = "payload size does not match header";
+      Send(encodeCacheResponse(Resp));
+      return false;
+    }
+  }
+
+  uint64_t Key = 0, Digest = 0;
+  const bool NeedsKey = Req.Operation == CacheRequest::Op::Get ||
+                        Req.Operation == CacheRequest::Op::Put ||
+                        Req.Operation == CacheRequest::Op::Touch;
+  if (NeedsKey && (!parseHex16(Req.Key, Key) ||
+                   (Req.Kind != "obj" && Req.Kind != "act"))) {
+    Resp.Error = "bad key or kind";
+    // The stream is still in sync; the peer may recover.
+    return Send(encodeCacheResponse(Resp));
+  }
+  const CacheStore::Kind Kind = Req.Kind == "obj" ? CacheStore::Kind::Object
+                                                  : CacheStore::Kind::Action;
+
+  std::string ObjBytes;
+  switch (Req.Operation) {
+  case CacheRequest::Op::Get:
+    Resp.Ok = true;
+    if (Kind == CacheStore::Kind::Object) {
+      Resp.Found = Store->getObject(Key, ObjBytes);
+      Resp.Size = ObjBytes.size();
+    } else {
+      Resp.Found = Store->getAction(Key, Digest);
+      if (Resp.Found)
+        Resp.Digest = hex16(Digest);
+    }
+    break;
+  case CacheRequest::Op::Put:
+    Resp.Ok = true;
+    if (Kind == CacheStore::Kind::Object) {
+      Resp.Stored = Store->putObject(Key, PutBytes);
+    } else {
+      if (!parseHex16(Req.Digest, Digest)) {
+        Resp.Ok = false;
+        Resp.Error = "bad digest";
+      } else {
+        Resp.Stored = Store->putAction(Key, Digest);
+      }
+    }
+    break;
+  case CacheRequest::Op::Touch:
+    Resp.Ok = true;
+    Resp.Found = Store->touch(Kind, Key);
+    break;
+  case CacheRequest::Op::Stats:
+    Resp.Ok = true;
+    Resp.HasStats = true;
+    Resp.Stats = Store->stats();
+    break;
+  case CacheRequest::Op::Metrics:
+    // Both renderings of the same refreshed registry snapshot, so a
+    // scraper's text view and a tool's JSON view cannot disagree.
+    Resp.Ok = true;
+    Resp.MetricsText = metricsText();
+    Resp.MetricsJson = Metrics.toJson();
+    break;
+  case CacheRequest::Op::Shutdown:
+    Resp.Ok = true;
+    Send(encodeCacheResponse(Resp));
+    chat("sccached: shutdown requested by client\n");
+    requestStop();
+    return false;
+  }
+
+  if (!Send(encodeCacheResponse(Resp)))
+    return false;
+  if (Req.Operation == CacheRequest::Op::Get &&
+      Kind == CacheStore::Kind::Object && Resp.Found)
+    return Send(ObjBytes);
+  return true;
 }
 
 int CacheDaemon::serve() {
-  using Clock = std::chrono::steady_clock;
-  auto LastActivity = Clock::now();
-  auto LastMetricsDump = Clock::now();
-  dumpMetricsFile(); // Scrape-file exists from the first slice on.
-  uint64_t LastTick = ActivityTick.load();
-  while (!Stop.load()) {
-    if (!Config.MetricsOut.empty() &&
-        Clock::now() - LastMetricsDump >=
-            std::chrono::milliseconds(Config.MetricsIntervalMs)) {
-      dumpMetricsFile();
-      LastMetricsDump = Clock::now();
-    }
-    uint64_t Tick = ActivityTick.load();
-    if (Tick != LastTick) {
-      LastTick = Tick;
-      LastActivity = Clock::now();
-    }
-    if (Config.IdleTimeoutMs &&
-        Clock::now() - LastActivity >=
-            std::chrono::milliseconds(Config.IdleTimeoutMs)) {
-      chat("sccached: idle for %u ms, exiting\n", Config.IdleTimeoutMs);
-      break;
-    }
-    bool TimedOut = false;
-    UnixSocket Conn = Listener.accept(/*TimeoutMs=*/200, &TimedOut);
-    if (!Conn.valid())
-      continue; // Timeout slice (or transient accept error): re-poll.
-    LastActivity = Clock::now();
-    Workers.emplace_back(
-        [this, C = std::move(Conn)]() mutable { handleConnection(std::move(C)); });
-  }
-  // Go down in order: stop accepting (close + unlink so clients
-  // degrade to local-only instead of queueing), tell every connection
-  // thread to wind down, then wait for them.
-  Stop.store(true);
-  Listener.close();
-  if (!SockPath.empty())
-    ::unlink(SockPath.c_str());
-  for (std::thread &W : Workers)
-    W.join();
+  const int Code = run();
   if (Store) {
     CacheStats S = Store->stats();
     chat("sccached: exiting — hits %llu, misses %llu, puts %llu, "
@@ -280,8 +167,5 @@ int CacheDaemon::serve() {
          static_cast<unsigned long long>(S.Evictions),
          static_cast<unsigned long long>(S.CorruptDropped));
   }
-  // Final scrape-file dump: the file reflects the end state, not the
-  // last periodic slice.
-  dumpMetricsFile();
-  return 0;
+  return Code;
 }

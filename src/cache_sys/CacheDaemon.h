@@ -5,21 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The server side of `sccached`: a Unix-domain-socket daemon serving
-/// the CacheProtocol get/put/touch/stats/shutdown verbs over a
+/// The server side of `sccached`: a FramedService serving the
+/// CacheProtocol get/put/touch/stats/metrics/shutdown verbs over a
 /// CacheStore. Unlike the build daemon (one request at a time against
-/// resident compiler caches), this daemon is a plain concurrent
-/// key-value service: the accept loop hands each connection to its own
-/// thread, connections are persistent (a build issues hundreds of
-/// requests over one connection), and the store's internal lock is the
-/// only serialization point.
+/// resident compiler caches), this is a plain concurrent key-value
+/// service: connections are persistent (a build issues hundreds of
+/// requests over one connection), each is served on its own thread,
+/// and the store's internal lock is the only serialization point.
 ///
-/// Lifecycle mirrors scbuildd: start() binds the socket (unlinking a
-/// stale file after probing it is genuinely dead), serve() loops until
-/// requestStop() — from a signal handler or a client `shutdown` — or
-/// the idle timeout elapses, then joins every connection thread and
-/// unlinks the socket so clients degrade to local-only instead of
-/// hanging.
+/// The socket lifecycle — bind probe, accept loop, frame deadlines
+/// (the binary payload of a `put obj` included), idle clock, metrics
+/// file, signal stop, drain — is support/FramedService. What is this
+/// daemon's own: the store, the verb switch, and the publication of
+/// the store's totals as cache.* metrics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,38 +25,30 @@
 #define SC_CACHE_SYS_CACHEDAEMON_H
 
 #include "cache_sys/CacheStore.h"
+#include "support/FramedService.h"
 #include "support/Metrics.h"
-#include "support/Socket.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace sc {
 
-struct CacheDaemonConfig {
+/// IdleTimeoutMs, MetricsOut (the Prometheus text of the cache.*
+/// metrics), MetricsIntervalMs and Quiet come from ServiceConfig.
+struct CacheDaemonConfig : ServiceConfig {
   std::string SocketPath;      ///< Host path to bind.
   std::string CacheRoot = "cache"; ///< Entry root inside the store FS.
   uint64_t MaxBytes = 0;       ///< LRU budget; 0 = unlimited.
-  unsigned IdleTimeoutMs = 0;  ///< Exit after this much quiet; 0 = never.
-  /// When non-empty: host path receiving the Prometheus text rendering
-  /// of the cache.* metrics, rewritten atomically (temp + rename) every
-  /// MetricsIntervalMs and once more on exit.
-  std::string MetricsOut;
-  unsigned MetricsIntervalMs = 1000; ///< Period of the --metrics-out dump.
-  bool Quiet = false;          ///< Suppress stderr chatter.
 };
 
-class CacheDaemon {
+class CacheDaemon : public FramedService {
 public:
   /// \p FS backs the store (RealFileSystem in production; tests may
   /// pass an in-memory one).
   CacheDaemon(VirtualFileSystem &FS, CacheDaemonConfig Config);
-  ~CacheDaemon();
+  ~CacheDaemon() override;
 
   /// Binds the socket and indexes the cache root. False (with \p Err)
   /// when another live sccached owns the socket.
@@ -68,9 +58,6 @@ public:
   /// requestStop(), a client `shutdown`, or idle timeout.
   int serve();
 
-  /// Async-signal-safe stop request.
-  void requestStop() { Stop.store(true); }
-
   const CacheStore &store() const { return *Store; }
 
   /// The daemon's cache.* metrics registry (tests; refreshed from the
@@ -78,27 +65,16 @@ public:
   const MetricsRegistry &metricsRegistry() const { return Metrics; }
 
 private:
-  void chat(const char *Fmt, ...);
-  /// One connection's request loop (runs on its own thread).
-  void handleConnection(UnixSocket Conn);
+  bool serveRequest(UnixSocket &Conn, const std::string &Header) override;
   /// Mirrors the store's lifetime totals into the registry as cache.*
   /// counters/gauges (delta-published so counters stay monotonic).
   void publishMetrics();
   /// Prometheus text of the registry, refreshed at render time.
-  std::string metricsText();
-  /// Registry JSON ({"counters":{},"gauges":{}}), refreshed likewise.
-  std::string metricsJson();
-  /// Atomic (temp + rename) rewrite of Config.MetricsOut.
-  void dumpMetricsFile();
+  std::string metricsText() override;
 
   VirtualFileSystem &FS;
   CacheDaemonConfig Config;
   std::unique_ptr<CacheStore> Store;
-  UnixSocket Listener;
-  std::string SockPath;
-  std::atomic<bool> Stop{false};
-  std::atomic<uint64_t> ActivityTick{0}; ///< Bumped per request; idle reset.
-  std::vector<std::thread> Workers;
 
   /// cache.* metrics, rendered by the `metrics` verb and --metrics-out.
   /// MetricsMu serializes delta publication (connection threads race);

@@ -325,6 +325,35 @@ DAEMON_PID=""
 WARN="$("$SCBUILD" . --quiet 2>&1 >/dev/null)"
 [ -z "$WARN" ] || { echo "FAIL: post-SIGTERM build warned: $WARN"; exit 1; }
 
+# sccached takes SIGTERM the same way: exit 0, no socket left behind,
+# and a final --metrics-out dump.
+"$SCCACHED" --socket="$DIR/term.sock" --cache-dir="$DIR/term-cache" \
+            --metrics-out=term.prom --quiet &
+CACHE_PID=$!
+for _ in $(seq 50); do
+  [ -S "$DIR/term.sock" ] && break
+  sleep 0.1
+done
+[ -S "$DIR/term.sock" ] || { echo "FAIL: sccached socket never appeared"; exit 1; }
+rm -f term.prom
+kill -TERM "$CACHE_PID"
+wait "$CACHE_PID" || { echo "FAIL: sccached exited nonzero on SIGTERM"; exit 1; }
+CACHE_PID=""
+[ ! -e "$DIR/term.sock" ] || { echo "FAIL: sccached SIGTERM left socket"; exit 1; }
+grep -q "scbuild_cache_entries" term.prom || {
+  echo "FAIL: sccached SIGTERM left no final metrics dump"; exit 1; }
+
+# Millisecond options are 32-bit: a value past 2^32 is rejected, not
+# truncated (4294967301 would otherwise become 5 ms).
+if "$SCCACHED" --socket="$DIR/never.sock" --idle-timeout-ms=4294967301 \
+     2> big.log; then
+  echo "FAIL: sccached accepted --idle-timeout-ms=4294967301"; exit 1
+fi
+grep -q "option '--idle-timeout-ms' requires a non-negative integer" big.log || {
+  echo "FAIL: unexpected error for an oversized --idle-timeout-ms"; cat big.log
+  exit 1; }
+[ ! -e "$DIR/never.sock" ] || { echo "FAIL: rejected sccached still bound"; exit 1; }
+
 #===--- Remote object cache (sccached) ------------------------------------===#
 
 # Start sccached on a temp socket, then build the same sources from two

@@ -76,6 +76,7 @@
 #include "build_sys/Daemon.h"
 #include "build_sys/DaemonClient.h"
 #include "build_sys/Explain.h"
+#include "support/CliArgs.h"
 #include "support/FaultyFileSystem.h"
 #include "support/FileSystem.h"
 #include "support/Metrics.h"
@@ -99,40 +100,6 @@
 using namespace sc;
 
 namespace {
-
-/// Strict decimal parse for numeric options. Rejects empty strings,
-/// signs, and trailing junk ("4x"), which strtoul would quietly accept.
-bool parseUnsigned(const char *Text, unsigned &Out) {
-  if (!*Text)
-    return false;
-  unsigned long V = 0;
-  for (const char *P = Text; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return false;
-    V = V * 10 + static_cast<unsigned long>(*P - '0');
-    if (V > 0xffffffffUL)
-      return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-
-/// Same contract for 64-bit values (build ids).
-bool parseU64Arg(const char *Text, uint64_t &Out) {
-  if (!*Text)
-    return false;
-  uint64_t V = 0;
-  for (const char *P = Text; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return false;
-    uint64_t Next = V * 10 + static_cast<uint64_t>(*P - '0');
-    if (Next < V)
-      return false; // Overflow.
-    V = Next;
-  }
-  Out = V;
-  return true;
-}
 
 /// Launches `scbuildd` (found next to this executable) detached, with
 /// its stdio under <dir>/out/.daemon.log, then waits for the socket to
@@ -220,44 +187,22 @@ int main(int argc, char **argv) {
   std::vector<int64_t> RunArgs;
   std::vector<std::string> FaultSpecs; // Hidden --inject-fault op:N.
 
-  // Accepts --flag=VALUE or --flag VALUE. A matching flag with no
-  // value is consumed too (ArgError set), so it reports "requires a
-  // value" instead of falling through to "unknown option".
-  bool ArgError = false;
-  auto FlagValue = [&](const std::string &Arg, const char *Flag, int &I,
-                       std::string &Out) {
-    std::string Prefix = std::string(Flag) + "=";
-    if (Arg.compare(0, Prefix.size(), Prefix) == 0) {
-      Out = Arg.substr(Prefix.size());
-      return true;
-    }
-    if (Arg != Flag)
-      return false;
-    if (I + 1 < argc) {
-      Out = argv[++I];
-      return true;
-    }
-    std::fprintf(stderr, "scbuild: error: option '%s' requires a value\n",
-                 Flag);
-    ArgError = true;
-    return true;
-  };
-
+  CliArgs Args("scbuild", argc, argv);
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Run) {
       RunArgs.push_back(std::strtoll(Arg.c_str(), nullptr, 10));
       continue;
     }
-    if (FlagValue(Arg, "--trace-out", I, TraceOut) ||
-        FlagValue(Arg, "--report-json", I, ReportOut) ||
-        FlagValue(Arg, "--explain", I, ExplainQ) ||
-        FlagValue(Arg, "--remote-cache", I, RemoteCache) ||
-        FlagValue(Arg, "--build", I, BuildIdText) ||
-        FlagValue(Arg, "--against", I, AgainstIdText) ||
-        FlagValue(Arg, "--top", I, TopText) ||
-        FlagValue(Arg, "--history-limit", I, HistoryLimitText) ||
-        FlagValue(Arg, "--profile-sample-hz", I, SampleHzText))
+    if (Args.value(Arg, "--trace-out", I, TraceOut) ||
+        Args.value(Arg, "--report-json", I, ReportOut) ||
+        Args.value(Arg, "--explain", I, ExplainQ) ||
+        Args.value(Arg, "--remote-cache", I, RemoteCache) ||
+        Args.value(Arg, "--build", I, BuildIdText) ||
+        Args.value(Arg, "--against", I, AgainstIdText) ||
+        Args.value(Arg, "--top", I, TopText) ||
+        Args.value(Arg, "--history-limit", I, HistoryLimitText) ||
+        Args.value(Arg, "--profile-sample-hz", I, SampleHzText))
       continue;
     if (Arg == "-O0")
       Options.Compiler.Opt = OptLevel::O0;
@@ -356,42 +301,18 @@ int main(int argc, char **argv) {
       Dir = Arg;
     }
   }
-  if (ArgError)
+  if (Args.failed())
     return 1;
 
-  auto ParseU64Flag = [](const std::string &Text, const char *Flag,
-                         uint64_t &Out) {
-    if (Text.empty())
-      return true;
-    if (parseU64Arg(Text.c_str(), Out))
-      return true;
-    std::fprintf(stderr,
-                 "scbuild: error: option '%s' requires a non-negative "
-                 "integer (got '%s')\n",
-                 Flag, Text.c_str());
-    return false;
-  };
-  auto ParseU32Flag = [](const std::string &Text, const char *Flag,
-                         unsigned &Out) {
-    if (Text.empty())
-      return true;
-    if (parseUnsigned(Text.c_str(), Out))
-      return true;
-    std::fprintf(stderr,
-                 "scbuild: error: option '%s' requires a non-negative "
-                 "integer (got '%s')\n",
-                 Flag, Text.c_str());
-    return false;
-  };
   uint64_t AnalyzeBuildId = 0, AnalyzeAgainstId = 0;
   unsigned AnalyzeTop = 5;
-  if (!ParseU64Flag(BuildIdText, "--build", AnalyzeBuildId) ||
-      !ParseU64Flag(AgainstIdText, "--against", AnalyzeAgainstId) ||
-      !ParseU32Flag(TopText, "--top", AnalyzeTop) ||
-      !ParseU32Flag(HistoryLimitText, "--history-limit",
-                    Options.HistoryLimit) ||
-      !ParseU32Flag(SampleHzText, "--profile-sample-hz",
-                    Options.ProfileSampleHz))
+  if (!Args.number(BuildIdText, "--build", AnalyzeBuildId) ||
+      !Args.number(AgainstIdText, "--against", AnalyzeAgainstId) ||
+      !Args.number(TopText, "--top", AnalyzeTop) ||
+      !Args.number(HistoryLimitText, "--history-limit",
+                   Options.HistoryLimit) ||
+      !Args.number(SampleHzText, "--profile-sample-hz",
+                   Options.ProfileSampleHz))
     return 1;
 
   //===--- analyze: offline report over the history ledger ----------------===//

@@ -53,47 +53,18 @@
 
 #include "build_sys/BuildReport.h"
 #include "build_sys/Daemon.h"
+#include "support/CliArgs.h"
 #include "support/FileSystem.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
-#include <csignal>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 
-#include <unistd.h>
-
 using namespace sc;
-
-namespace {
-BuildDaemon *ActiveDaemon = nullptr;
-
-void onSignal(int) {
-  // requestStop() is a relaxed atomic store — async-signal-safe. The
-  // serve() loop notices within one accept slice.
-  if (ActiveDaemon)
-    ActiveDaemon->requestStop();
-}
-
-bool parseUnsigned(const char *Text, unsigned &Out) {
-  if (!*Text)
-    return false;
-  unsigned long V = 0;
-  for (const char *P = Text; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return false;
-    V = V * 10 + static_cast<unsigned long>(*P - '0');
-    if (V > 0xffffffffUL)
-      return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-} // namespace
 
 int main(int argc, char **argv) {
   std::string Dir = ".";
@@ -102,41 +73,22 @@ int main(int argc, char **argv) {
   Config.Build.Jobs = std::max(1u, std::thread::hardware_concurrency());
   std::string TraceStream;
 
-  bool ArgError = false;
-  auto FlagValue = [&](const std::string &Arg, const char *Flag, int &I,
-                       std::string &Out) {
-    std::string Prefix = std::string(Flag) + "=";
-    if (Arg.compare(0, Prefix.size(), Prefix) == 0) {
-      Out = Arg.substr(Prefix.size());
-      return true;
-    }
-    if (Arg != Flag)
-      return false;
-    if (I + 1 < argc) {
-      Out = argv[++I];
-      return true;
-    }
-    std::fprintf(stderr, "scbuildd: error: option '%s' requires a value\n",
-                 Flag);
-    ArgError = true;
-    return true;
-  };
-
+  CliArgs Args("scbuildd", argc, argv);
   std::string IdleText, MaxQueueText, ReqTimeoutText, HoldText, ReportOut;
   std::string MetricsIntervalText;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    if (FlagValue(Arg, "--trace-stream", I, TraceStream) ||
-        FlagValue(Arg, "--idle-timeout-ms", I, IdleText) ||
-        FlagValue(Arg, "--max-queue", I, MaxQueueText) ||
-        FlagValue(Arg, "--request-timeout-ms", I, ReqTimeoutText) ||
+    if (Args.value(Arg, "--trace-stream", I, TraceStream) ||
+        Args.value(Arg, "--idle-timeout-ms", I, IdleText) ||
+        Args.value(Arg, "--max-queue", I, MaxQueueText) ||
+        Args.value(Arg, "--request-timeout-ms", I, ReqTimeoutText) ||
         // Hidden: injects a fixed per-build service-time floor so tests
         // and the smoke script can form queues deterministically.
-        FlagValue(Arg, "--hold-ms", I, HoldText) ||
-        FlagValue(Arg, "--report-json", I, ReportOut) ||
-        FlagValue(Arg, "--metrics-out", I, Config.MetricsOut) ||
-        FlagValue(Arg, "--metrics-interval-ms", I, MetricsIntervalText) ||
-        FlagValue(Arg, "--remote-cache", I, Config.Build.RemoteCache))
+        Args.value(Arg, "--hold-ms", I, HoldText) ||
+        Args.value(Arg, "--report-json", I, ReportOut) ||
+        Args.value(Arg, "--metrics-out", I, Config.MetricsOut) ||
+        Args.value(Arg, "--metrics-interval-ms", I, MetricsIntervalText) ||
+        Args.value(Arg, "--remote-cache", I, Config.Build.RemoteCache))
       continue;
     if (Arg == "-O0")
       Config.Build.Compiler.Opt = OptLevel::O0;
@@ -185,26 +137,14 @@ int main(int argc, char **argv) {
       Dir = Arg;
     }
   }
-  if (ArgError)
+  if (Args.failed())
     return 1;
-  auto ParseMsFlag = [](const std::string &Text, const char *Flag,
-                        unsigned &Out) {
-    if (Text.empty())
-      return true;
-    if (parseUnsigned(Text.c_str(), Out))
-      return true;
-    std::fprintf(stderr,
-                 "scbuildd: error: option '%s' requires a "
-                 "non-negative integer (got '%s')\n",
-                 Flag, Text.c_str());
-    return false;
-  };
-  if (!ParseMsFlag(IdleText, "--idle-timeout-ms", Config.IdleTimeoutMs) ||
-      !ParseMsFlag(MaxQueueText, "--max-queue", Config.MaxQueue) ||
-      !ParseMsFlag(ReqTimeoutText, "--request-timeout-ms",
+  if (!Args.number(IdleText, "--idle-timeout-ms", Config.IdleTimeoutMs) ||
+      !Args.number(MaxQueueText, "--max-queue", Config.MaxQueue) ||
+      !Args.number(ReqTimeoutText, "--request-timeout-ms",
                    Config.RequestTimeoutMs) ||
-      !ParseMsFlag(HoldText, "--hold-ms", Config.HoldMs) ||
-      !ParseMsFlag(MetricsIntervalText, "--metrics-interval-ms",
+      !Args.number(HoldText, "--hold-ms", Config.HoldMs) ||
+      !Args.number(MetricsIntervalText, "--metrics-interval-ms",
                    Config.MetricsIntervalMs))
     return 1;
   Config.MetricsIntervalMs = std::max(1u, Config.MetricsIntervalMs);
@@ -243,23 +183,12 @@ int main(int argc, char **argv) {
   }
 
   // SIGTERM/SIGINT take the exact same path as the `shutdown` verb:
-  // requestStop() flips the stop flag and serve() runs its graceful
-  // drain (finish in-flight, cancel queued with clean frames, join
-  // threads, flush traces, unlink the socket, release the lock).
-  // sigaction without SA_RESTART so a signal interrupts the accept
-  // poll promptly instead of waiting out the slice.
-  ActiveDaemon = &Daemon;
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = onSignal;
-  sigemptyset(&SA.sa_mask);
-  ::sigaction(SIGINT, &SA, nullptr);
-  ::sigaction(SIGTERM, &SA, nullptr);
-  std::signal(SIGPIPE, SIG_IGN); // Client death mid-frame must not kill us.
-
+  // serve() runs its graceful drain (finish in-flight, cancel queued
+  // with clean frames, join threads, flush traces, unlink the socket,
+  // release the lock).
+  Daemon.installStopSignals();
   int Code = Daemon.serve();
 
-  ActiveDaemon = nullptr;
   if (Trace)
     Trace->flush();
   if (Sink)

@@ -37,82 +37,35 @@
 
 #include "cache_sys/CacheDaemon.h"
 #include "cache_sys/RemoteCacheClient.h"
+#include "support/CliArgs.h"
 #include "support/FileSystem.h"
 
 #include <algorithm>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 using namespace sc;
 
-namespace {
-CacheDaemon *ActiveDaemon = nullptr;
-
-void onSignal(int) {
-  // requestStop() is a relaxed atomic store — async-signal-safe. The
-  // serve() loop notices within one accept slice.
-  if (ActiveDaemon)
-    ActiveDaemon->requestStop();
-}
-
-bool parseU64(const char *Text, uint64_t &Out) {
-  if (!*Text)
-    return false;
-  uint64_t V = 0;
-  for (const char *P = Text; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return false;
-    uint64_t Next = V * 10 + static_cast<uint64_t>(*P - '0');
-    if (Next < V)
-      return false; // Overflow.
-    V = Next;
-  }
-  Out = V;
-  return true;
-}
-} // namespace
-
 int main(int argc, char **argv) {
-  std::string Socket, CacheDir, MetricsOut;
-  uint64_t MaxBytes = 0, IdleMs = 0, MetricsIntervalMs = 1000;
-  bool Quiet = false, Stats = false, Shutdown = false;
+  std::string Socket, CacheDir;
+  CacheDaemonConfig Config;
+  bool Stats = false, Shutdown = false;
   bool Json = false, Metrics = false;
 
-  bool ArgError = false;
-  auto FlagValue = [&](const std::string &Arg, const char *Flag, int &I,
-                       std::string &Out) {
-    std::string Prefix = std::string(Flag) + "=";
-    if (Arg.compare(0, Prefix.size(), Prefix) == 0) {
-      Out = Arg.substr(Prefix.size());
-      return true;
-    }
-    if (Arg != Flag)
-      return false;
-    if (I + 1 < argc) {
-      Out = argv[++I];
-      return true;
-    }
-    std::fprintf(stderr, "sccached: error: option '%s' requires a value\n",
-                 Flag);
-    ArgError = true;
-    return true;
-  };
-
+  CliArgs Args("sccached", argc, argv);
   std::string MaxBytesText, IdleText, MetricsIntervalText;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    if (FlagValue(Arg, "--socket", I, Socket) ||
-        FlagValue(Arg, "--cache-dir", I, CacheDir) ||
-        FlagValue(Arg, "--max-bytes", I, MaxBytesText) ||
-        FlagValue(Arg, "--metrics-out", I, MetricsOut) ||
-        FlagValue(Arg, "--metrics-interval-ms", I, MetricsIntervalText) ||
-        FlagValue(Arg, "--idle-timeout-ms", I, IdleText))
+    if (Args.value(Arg, "--socket", I, Socket) ||
+        Args.value(Arg, "--cache-dir", I, CacheDir) ||
+        Args.value(Arg, "--max-bytes", I, MaxBytesText) ||
+        Args.value(Arg, "--metrics-out", I, Config.MetricsOut) ||
+        Args.value(Arg, "--metrics-interval-ms", I, MetricsIntervalText) ||
+        Args.value(Arg, "--idle-timeout-ms", I, IdleText))
       continue;
     if (Arg == "--quiet")
-      Quiet = true;
+      Config.Quiet = true;
     else if (Arg == "--stats")
       Stats = true;
     else if (Arg == "--json")
@@ -135,34 +88,18 @@ int main(int argc, char **argv) {
       return 1;
     }
   }
-  if (ArgError)
+  if (Args.failed())
     return 1;
   if (Socket.empty()) {
     std::fprintf(stderr, "sccached: error: --socket=PATH is required\n");
     return 1;
   }
-  if (!MaxBytesText.empty() && !parseU64(MaxBytesText.c_str(), MaxBytes)) {
-    std::fprintf(stderr,
-                 "sccached: error: option '--max-bytes' requires a "
-                 "non-negative integer (got '%s')\n",
-                 MaxBytesText.c_str());
+  if (!Args.number(MaxBytesText, "--max-bytes", Config.MaxBytes) ||
+      !Args.number(IdleText, "--idle-timeout-ms", Config.IdleTimeoutMs) ||
+      !Args.number(MetricsIntervalText, "--metrics-interval-ms",
+                   Config.MetricsIntervalMs))
     return 1;
-  }
-  if (!IdleText.empty() && !parseU64(IdleText.c_str(), IdleMs)) {
-    std::fprintf(stderr,
-                 "sccached: error: option '--idle-timeout-ms' requires a "
-                 "non-negative integer (got '%s')\n",
-                 IdleText.c_str());
-    return 1;
-  }
-  if (!MetricsIntervalText.empty() &&
-      !parseU64(MetricsIntervalText.c_str(), MetricsIntervalMs)) {
-    std::fprintf(stderr,
-                 "sccached: error: option '--metrics-interval-ms' requires a "
-                 "non-negative integer (got '%s')\n",
-                 MetricsIntervalText.c_str());
-    return 1;
-  }
+  Config.MetricsIntervalMs = std::max(1u, Config.MetricsIntervalMs);
 
   //===--- Client modes ---------------------------------------------------===//
 
@@ -262,16 +199,8 @@ int main(int argc, char **argv) {
                "/sccache";
   }
   RealFileSystem FS(CacheDir);
-
-  CacheDaemonConfig Config;
   Config.SocketPath = Socket;
   Config.CacheRoot = "cache";
-  Config.MaxBytes = MaxBytes;
-  Config.IdleTimeoutMs = static_cast<unsigned>(IdleMs);
-  Config.MetricsOut = MetricsOut;
-  Config.MetricsIntervalMs =
-      std::max<unsigned>(1, static_cast<unsigned>(MetricsIntervalMs));
-  Config.Quiet = Quiet;
 
   CacheDaemon Daemon(FS, Config);
   std::string Err;
@@ -279,13 +208,6 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "sccached: error: %s\n", Err.c_str());
     return 1;
   }
-
-  ActiveDaemon = &Daemon;
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGTERM, onSignal);
-  std::signal(SIGPIPE, SIG_IGN); // Client death mid-frame must not kill us.
-
-  int Code = Daemon.serve();
-  ActiveDaemon = nullptr;
-  return Code;
+  Daemon.installStopSignals();
+  return Daemon.serve();
 }

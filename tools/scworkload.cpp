@@ -38,6 +38,7 @@
 
 #include "build_sys/Daemon.h"
 #include "build_sys/DaemonClient.h"
+#include "support/CliArgs.h"
 #include "support/FileSystem.h"
 #include "workload/Scenario.h"
 
@@ -49,21 +50,6 @@
 using namespace sc;
 
 namespace {
-
-bool parseUnsigned(const char *Text, unsigned &Out) {
-  if (!*Text)
-    return false;
-  unsigned long V = 0;
-  for (const char *P = Text; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return false;
-    V = V * 10 + static_cast<unsigned long>(*P - '0');
-    if (V > 0xffffffffUL)
-      return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
-}
 
 bool readHostFile(const std::string &Path, std::string &Out) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
@@ -115,31 +101,13 @@ int main(int argc, char **argv) {
   ScenarioRunOptions Opts;
   bool ViaDaemon = false, Quiet = false;
 
-  bool ArgError = false;
-  auto FlagValue = [&](const std::string &Arg, const char *Flag, int &I,
-                       std::string &Out) {
-    std::string Prefix = std::string(Flag) + "=";
-    if (Arg.compare(0, Prefix.size(), Prefix) == 0) {
-      Out = Arg.substr(Prefix.size());
-      return true;
-    }
-    if (Arg != Flag)
-      return false;
-    if (I + 1 < argc) {
-      Out = argv[++I];
-      return true;
-    }
-    std::fprintf(stderr, "scworkload: error: option '%s' requires a value\n",
-                 Flag);
-    ArgError = true;
-    return true;
-  };
+  CliArgs Args("scworkload", argc, argv);
 
   for (int I = 3; I < argc; ++I) {
     std::string Arg = argv[I];
-    if (FlagValue(Arg, "--dir", I, Dir) ||
-        FlagValue(Arg, "--report-json", I, ReportOut) ||
-        FlagValue(Arg, "--edit-log", I, EditLogOut))
+    if (Args.value(Arg, "--dir", I, Dir) ||
+        Args.value(Arg, "--report-json", I, ReportOut) ||
+        Args.value(Arg, "--edit-log", I, EditLogOut))
       continue;
     if (Arg == "-j") {
       if (I + 1 >= argc || !parseUnsigned(argv[++I], Opts.Jobs)) {
@@ -171,7 +139,7 @@ int main(int argc, char **argv) {
       return 1;
     }
   }
-  if (ArgError)
+  if (Args.failed())
     return 1;
 
   std::string Text;
