@@ -55,6 +55,13 @@ struct SweepParam {
   uint64_t Seed;
 };
 
+/// Without this, gtest prints the raw bytes of the parameter, which
+/// include the name and factory pointers; under ASLR those change from
+/// one process to the next, and so would every discovered test name.
+void PrintTo(const SweepParam &Param, std::ostream *OS) {
+  *OS << Param.PassName << " seed " << Param.Seed;
+}
+
 class PassPreservation : public ::testing::TestWithParam<SweepParam> {};
 
 } // namespace
