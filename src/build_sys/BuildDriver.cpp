@@ -49,6 +49,20 @@ bool isSourcePath(const std::string &Path, const std::string &OutDir) {
   return Path.compare(0, OutDir.size() + 1, OutDir + "/") != 0;
 }
 
+/// The manifest record of a TU whose object is \p ObjectHash; \p SR
+/// must be an Ok scan.
+ManifestEntry manifestEntry(const ScanResult &SR, uint64_t ImportsEffectiveHash,
+                            uint64_t ObjectHash, uint64_t ConfigHash) {
+  ManifestEntry E;
+  E.ContentHash = SR.ContentHash;
+  E.ImportsEffectiveHash = ImportsEffectiveHash;
+  E.ObjectHash = ObjectHash;
+  E.ConfigHash = ConfigHash;
+  E.Interface = SR.Interface;
+  E.Imports = SR.Imports;
+  return E;
+}
+
 void addSkipStats(StatefulStats &Sum, const StatefulStats &S) {
   Sum.PassesRun += S.PassesRun;
   Sum.PassesSkipped += S.PassesSkipped;
@@ -488,18 +502,6 @@ BuildStats BuildDriverImpl::build() {
   Objects.setWritable(!ReadOnlyBuild);
   Objects.resetStoreStatus();
 
-  // Sweep staging debris (`*.tmp.<pid>.<n>` orphans) left under OutDir
-  // by a crash between temp-write and rename; without this they leak
-  // forever. Safe exactly because we hold the build lock — no other
-  // cooperating process can be mid-stage right now.
-  if (!ReadOnlyBuild) {
-    S.TempFilesSwept = sweepAtomicTemps(FS, Options.OutDir);
-    if (S.TempFilesSwept && tracing())
-      trace()->instant("build", "tempSweep",
-                       "{\"removed\":" + std::to_string(S.TempFilesSwept) +
-                           "}");
-  }
-
   // Warm-cache accounting: deltas of the resident caches' lifetime
   // counters across this build() call.
   const uint64_t ScanHits0 = Scanner.cacheHits();
@@ -563,13 +565,31 @@ BuildStats BuildDriverImpl::build() {
                                std::to_string(Rep.TUsDropped) + "}");
       }
     }
+    // An older-format manifest is an upgrade, not damage: like a
+    // missing one it costs one quiet full recompile.
     bool ManifestExisted = FS.exists(manifestPath());
-    if (!Manifest.loadFromFile(FS, manifestPath())) {
+    bool Outdated = false;
+    if (!Manifest.loadFromFile(FS, manifestPath(), &Outdated)) {
       Manifest.clear();
-      if (ManifestExisted)
+      if (ManifestExisted && !Outdated)
         warn(S, FS,
              "manifest '" + manifestPath() +
                  "' was unreadable or damaged; full recompile");
+    }
+    // Seed the scan cache with the interfaces the manifest recorded, so
+    // this fresh driver parses only sources whose content changed. The
+    // decoder validated every byte; the interface hash is recomputed.
+    const uint64_t Config = configHash();
+    for (const auto &[Path, E] : Manifest.entries()) {
+      if (E.ConfigHash != Config)
+        continue;
+      ScanResult R;
+      R.Ok = true;
+      R.ContentHash = E.ContentHash;
+      R.Interface = E.Interface;
+      R.Imports = E.Imports;
+      R.InterfaceHash = hashInterface(R.Interface);
+      Scanner.seed(R);
     }
     StateIO.stop();
     if (tracing())
@@ -583,8 +603,24 @@ BuildStats BuildDriverImpl::build() {
   const uint64_t ScanT0 = nowNanos();
   BuildPhase.enter(ScanFrame);
   Scan.start();
+  // One walk of the tree serves the temp sweep (under OutDir) and the
+  // source scan (outside it).
+  const std::vector<std::string> Listing = FS.listFiles();
+
+  // Sweep staging debris (`*.tmp.<pid>.<n>` orphans) left under OutDir
+  // by a crash between temp-write and rename; without this they leak
+  // forever. Safe exactly because we hold the build lock — no other
+  // cooperating process can be mid-stage right now.
+  if (!ReadOnlyBuild) {
+    S.TempFilesSwept = sweepAtomicTemps(FS, Options.OutDir, Listing);
+    if (S.TempFilesSwept && tracing())
+      trace()->instant("build", "tempSweep",
+                       "{\"removed\":" + std::to_string(S.TempFilesSwept) +
+                           "}");
+  }
+
   std::map<std::string, std::string> Sources;
-  for (const std::string &Path : FS.listFiles()) {
+  for (const std::string &Path : Listing) {
     if (!isSourcePath(Path, Options.OutDir))
       continue;
     if (std::optional<std::string> Content = FS.readFile(Path))
@@ -669,8 +705,10 @@ BuildStats BuildDriverImpl::build() {
     // A verified remote hit is admitted into the local object cache
     // and recorded in the manifest exactly as a compile would have —
     // the TU then links from the fetched object and skips the
-    // compiler entirely.
-    if (RemoteCacheClient *RC = remote(S)) {
+    // compiler entirely. A source that does not scan has no valid
+    // object, so it never asks (and never gets a manifest entry, which
+    // records only Ok scans).
+    if (RemoteCacheClient *RC = SR->Ok ? remote(S) : nullptr) {
       const uint64_t Key = inputKey(SR->ContentHash, ImportsEff, Config);
       const uint64_t FetchT0 = nowNanos();
       uint64_t Digest = 0;
@@ -679,12 +717,7 @@ BuildStats BuildDriverImpl::build() {
       if (R == RemoteCacheClient::Result::Hit &&
           Objects.storeFetched(Path, std::move(Bytes), Digest)) {
         ++S.RemoteHits;
-        ManifestEntry NE;
-        NE.ContentHash = SR->ContentHash;
-        NE.ImportsEffectiveHash = ImportsEff;
-        NE.ObjectHash = Digest;
-        NE.ConfigHash = Config;
-        Manifest.update(Path, NE);
+        Manifest.update(Path, manifestEntry(*SR, ImportsEff, Digest, Config));
         if (tracing())
           trace()->span("remote", "fetch", FetchT0, nowNanos(),
                         "{\"path\":\"" + Path + "\",\"hit\":true}");
@@ -765,18 +798,15 @@ BuildStats BuildDriverImpl::build() {
     ++S.FilesCompiled;
     const bool WantPublish = !Options.RemoteCache.empty() && !RemoteDisabled;
     std::string PubBytes;
-    ManifestEntry E;
-    E.ContentHash = Scans.at(Jobs[I].Path)->ContentHash;
-    E.ImportsEffectiveHash = Graph.importsEffectiveHash(Jobs[I].Path);
-    E.ObjectHash = Objects.store(Jobs[I].Path, std::move(R.Object),
-                                 WantPublish ? &PubBytes : nullptr);
-    E.ConfigHash = Config;
-    Manifest.update(Jobs[I].Path, E);
+    const std::string &Path = Jobs[I].Path;
+    const ScanResult &SR = *Scans.at(Path); // Ok: the TU parsed.
+    const uint64_t ImportsEff = Graph.importsEffectiveHash(Path);
+    const uint64_t Digest = Objects.store(Path, std::move(R.Object),
+                                          WantPublish ? &PubBytes : nullptr);
+    Manifest.update(Path, manifestEntry(SR, ImportsEff, Digest, Config));
     if (WantPublish)
-      ToPublish.push_back(
-          {Jobs[I].Path,
-           inputKey(E.ContentHash, E.ImportsEffectiveHash, Config),
-           E.ObjectHash, std::move(PubBytes)});
+      ToPublish.push_back({Path, inputKey(SR.ContentHash, ImportsEff, Config),
+                           Digest, std::move(PubBytes)});
   }
   std::sort(Failures.begin(), Failures.end());
   std::string Errors;

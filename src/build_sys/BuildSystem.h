@@ -11,7 +11,8 @@
 /// VirtualFileSystem and, per build() call:
 ///
 ///  1. scans every `.mc` source for its import directives and exported
-///     interface (cached by content hash — the daemon scan cache);
+///     interface (cached by content hash, and seeded from the manifest
+///     when the driver starts, so only changed sources are parsed);
 ///  2. assembles the import DAG and rejects cycles;
 ///  3. computes the dirty set: a file recompiles iff its content hash
 ///     changed, the *effective interface* of something it imports
@@ -159,7 +160,8 @@ struct BuildStats {
   //===--- Warm-cache counters (daemon observability) ---------------------===//
 
   /// Interface scans actually performed this build (scan-cache misses).
-  /// A warm no-op rebuild in a resident driver performs zero.
+  /// A no-op rebuild performs zero, in a resident driver and in a fresh
+  /// one seeded from the manifest alike.
   uint64_t InterfaceScans = 0;
 
   /// Interface scans answered from the content-hash cache this build.

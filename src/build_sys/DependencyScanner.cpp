@@ -50,6 +50,10 @@ const ScanResult &DependencyScanner::scan(const std::string &Path,
   return Cache.emplace(Key, std::move(R)).first->second;
 }
 
+void DependencyScanner::seed(const ScanResult &Result) {
+  Cache.emplace(Result.ContentHash, Result);
+}
+
 void DependencyScanner::trim(size_t MaxEntries) {
   // Edited files retire their old entries, so a long-lived daemon
   // accumulates dead ones; dropping everything is fine — the next

@@ -8,8 +8,9 @@
 /// Extracts each source file's import directives and exported
 /// interface — the inputs to the import DAG and to dirty-set
 /// computation. Results are memoized by content hash (the build
-/// daemon's interface-scan cache): a no-op rebuild of an N-file
-/// project performs zero parses.
+/// daemon's interface-scan cache) and seeded from the build manifest
+/// when a driver starts: a no-op rebuild of an N-file project performs
+/// zero parses, in a resident daemon and in a fresh process alike.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,6 +57,11 @@ public:
   /// The returned reference is owned by the cache and stays valid
   /// until clear().
   const ScanResult &scan(const std::string &Path, const std::string &Content);
+
+  /// Adds a previously computed result (a successful scan recorded in
+  /// the build manifest) under its ContentHash, unless one is already
+  /// cached. Counts as neither a hit nor a miss.
+  void seed(const ScanResult &Result);
 
   uint64_t cacheHits() const { return Hits; }
   uint64_t cacheMisses() const { return Misses; }

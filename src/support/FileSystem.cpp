@@ -218,7 +218,15 @@ std::vector<std::string> RealFileSystem::listFiles() {
   for (; !EC && It != End; It.increment(EC)) {
     if (!It->is_regular_file(EC))
       continue;
-    Paths.push_back(fs::relative(It->path(), Root, EC).string());
+    // The iterator joins Root, as spelled, with the walk below it, so
+    // the relative path is what follows that prefix and its separator:
+    // a string strip, where fs::relative would canonicalise both paths
+    // with syscalls per file.
+    const std::string &Abs = It->path().native();
+    size_t Start = Root.size();
+    while (Start < Abs.size() && Abs[Start] == '/')
+      ++Start;
+    Paths.push_back(Abs.substr(Start));
   }
   std::sort(Paths.begin(), Paths.end());
   return Paths;

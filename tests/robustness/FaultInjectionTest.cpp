@@ -406,3 +406,32 @@ TEST(FaultInjectionE2E, SalvagePreservesDormancyForUntouchedTUs) {
   VM Vm(*Driver.program());
   EXPECT_EQ(Vm.run().ReturnValue.value_or(-1), 41);
 }
+
+TEST(FaultInjectionE2E, BuildSweepsCrashDebrisFromItsOneListing) {
+  // Staging temps a crash left under out/ are swept at the start of
+  // the next build, from the same tree listing the source scan uses:
+  // one walk per build, however many readers it has.
+  struct CountingFS : InMemoryFileSystem {
+    unsigned Listings = 0;
+    std::vector<std::string> listFiles() override {
+      ++Listings;
+      return InMemoryFileSystem::listFiles();
+    }
+  } FS;
+  writeProject(FS);
+  BuildDriver Driver(FS, baseOptions());
+  ASSERT_TRUE(Driver.build().Success);
+  ASSERT_TRUE(FS.writeFile("out/state.db.tmp.4242.7", "crash debris"));
+  ASSERT_TRUE(FS.writeFile("out/alpha.mc.o.tmp.4242.8", "crash debris"));
+  ASSERT_TRUE(FS.writeFile("notes.tmp.4242.9", "not under out/"));
+
+  FS.Listings = 0;
+  BuildStats S = Driver.build();
+  ASSERT_TRUE(S.Success) << S.ErrorText;
+  EXPECT_EQ(FS.Listings, 1u);
+  EXPECT_EQ(S.TempFilesSwept, 2u);
+  EXPECT_FALSE(FS.exists("out/state.db.tmp.4242.7"));
+  EXPECT_FALSE(FS.exists("out/alpha.mc.o.tmp.4242.8"));
+  EXPECT_TRUE(FS.exists("notes.tmp.4242.9"));
+  EXPECT_EQ(S.FilesCompiled, 0u);
+}

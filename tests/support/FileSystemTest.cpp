@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 
@@ -99,4 +100,46 @@ TEST(RealFS, BinaryContentPreserved) {
     EXPECT_EQ(FS.readFile("bin").value(), Binary);
   }
   std::filesystem::remove_all(Dir);
+}
+
+TEST(RealFS, ListingIsTheSameForEveryRootSpelling) {
+  namespace fs = std::filesystem;
+  const std::string Base = makeTempDir();
+  // Relative roots resolve against the working directory: run inside
+  // Base, and restore the directory and clean up on every exit path.
+  struct InDir {
+    fs::path Saved = fs::current_path();
+    std::string Dir;
+    explicit InDir(std::string D) : Dir(std::move(D)) { fs::current_path(Dir); }
+    ~InDir() {
+      fs::current_path(Saved);
+      fs::remove_all(Dir);
+    }
+  } Cwd(Base);
+  {
+    RealFileSystem Setup("ws");
+    for (const char *P : {"main.mc", "a/b/c/deep.mc", "a/sibling.mc",
+                          ".hidden/x.mc", "out/main.mc.o", "name with space.mc",
+                          "z/.dotfile"})
+      ASSERT_TRUE(Setup.writeFile(P, "x"));
+    fs::create_directories("ws/empty/dir");
+    // A sibling whose name extends the root's must not leak in.
+    RealFileSystem Sibling("ws2");
+    ASSERT_TRUE(Sibling.writeFile("other.mc", "y"));
+  }
+  // What the listing has always been: each file relative to the root,
+  // as fs::relative computes it.
+  std::vector<std::string> Expected;
+  for (const auto &E : fs::recursive_directory_iterator(Base + "/ws"))
+    if (E.is_regular_file())
+      Expected.push_back(fs::relative(E.path(), Base + "/ws").string());
+  std::sort(Expected.begin(), Expected.end());
+  ASSERT_EQ(Expected.size(), 7u);
+
+  for (const std::string &Root :
+       {std::string("ws"), std::string("ws/"), std::string("./ws"),
+        std::string("ws//"), Base + "/ws", Base + "/ws/"}) {
+    RealFileSystem FS(Root);
+    EXPECT_EQ(FS.listFiles(), Expected) << "root '" << Root << "'";
+  }
 }

@@ -43,6 +43,15 @@ OUT="$("$SCBUILD" . --quiet --run)"
 SUMMARY="$("$SCBUILD" .)"
 echo "$SUMMARY" | grep -q "0/2 files compiled" || {
   echo "FAIL: no-op rebuild recompiled something: $SUMMARY"; exit 1; }
+# ...and, although it is a fresh process, re-parses no interface: the
+# scans recorded in out/manifest.bin seed its scan cache.
+python3 - <<'PYEOF' || { echo "FAIL: fresh no-op rebuild re-scanned"; exit 1; }
+import json
+rec = json.loads(open("out/history.jsonl").read().splitlines()[-1])
+c = rec["counters"]
+assert c["build.interface_scans"] == 0, c
+assert c["build.scan_cache_hits"] == 2, c
+PYEOF
 
 # Body edit: exactly one file recompiles and dormant passes skip.
 sed -i 's/x \* 3/x + x + x/' util.mc
